@@ -5,8 +5,14 @@
 // bignum primitives underneath.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
 #include "bench_util.h"
-#include "bigint/kernels/limb_pool.h"
 #include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "crypto/dgk.h"
@@ -61,7 +67,8 @@ BENCHMARK(BM_BigIntPowMod)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 // the cache then makes the remaining per-call setup (R^2 mod m, inverse
 // limb, window table base) a one-time cost per modulus, which is what the
 // lane-batched pipeline leans on when thousands of exponentiations share
-// one key.
+// one key.  The cached leg also runs at the small perfbench widths (64 to
+// 256 bits), where it is the per-width pow figure next to BM_MontMulMod.
 
 void BM_PowModNaiveReference(benchmark::State& state) {
   DeterministicRng rng(12);
@@ -110,80 +117,31 @@ void BM_PowModCachedContext(benchmark::State& state) {
     benchmark::DoNotOptimize(ctx->pow(base, exp));
   }
 }
-BENCHMARK(BM_PowModCachedContext)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PowModCachedContext)->Arg(64)->Arg(128)->Arg(160)->Arg(256)
+    ->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
-// The modmul ablation triple (DESIGN.md §12): one full modular product
-// a * b mod m per iteration through (1) the generic variable-length 32-bit
-// REDC tier, (2) the fixed-limb 64-bit CIOS kernel with the temporary pool
-// disabled (every op heap-allocates its cell), and (3) the kernel with the
-// per-thread pool warm — the production configuration.  Same seed across
-// the triple so all three run identical operands; the widths are the
-// protocol's hot moduli (DGK n at 1024/2048, Paillier n² at 2048/4096).
+// Montgomery cost at the modulus widths the perfbench workloads run, on a
+// cached context (the production path): 64/128 bits (Paillier n and n² of
+// the 64-bit-key profiles), 160 bits (serving's DGK n), 256 bits
+// (paper-batch's DGK n), 1024/2048 bits (wide-keys' DGK n and Paillier
+// n²).  Every width runs the one CIOS kernel (DESIGN.md §12); 160 bits
+// pads to three 64-bit words.  BM_PowModCachedContext above covers pow
+// at the same widths.
 
-void BM_ModMulGenericKernel(benchmark::State& state) {
+void BM_MontMulMod(benchmark::State& state) {
   DeterministicRng rng(13);
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt m = rng.random_bits_exact(bits);
   if (m.is_even()) m += BigInt(1);
   const BigInt a = rng.uniform_below(m);
   const BigInt b = rng.uniform_below(m);
-  const MontgomeryContext ctx(m, MontgomeryContext::KernelPolicy::kGenericOnly);
+  const auto ctx = MontgomeryContext::shared(m);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.mul_mod(a, b));
+    benchmark::DoNotOptimize(ctx->mul_mod(a, b));
   }
 }
-BENCHMARK(BM_ModMulGenericKernel)->Arg(1024)->Arg(2048)->Arg(4096);
-
-void BM_ModMulFixedKernel(benchmark::State& state) {
-  DeterministicRng rng(13);
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  const MontgomeryContext ctx(m);
-  kern::LimbPool::set_enabled(false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.mul_mod(a, b));
-  }
-  kern::LimbPool::set_enabled(true);
-}
-BENCHMARK(BM_ModMulFixedKernel)->Arg(1024)->Arg(2048)->Arg(4096);
-
-void BM_ModMulFixedKernelPooled(benchmark::State& state) {
-  DeterministicRng rng(13);
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  const MontgomeryContext ctx(m);
-  (void)ctx.mul_mod(a, b);  // warm this thread's free list
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.mul_mod(a, b));
-  }
-}
-BENCHMARK(BM_ModMulFixedKernelPooled)->Arg(1024)->Arg(2048)->Arg(4096);
-
-// Exponentiation across kernel tiers, cached-context setup on both sides:
-// isolates the fixed-limb CIOS win on the pow path that dominates every
-// protocol step.  BM_PowModCachedContext above is the same measurement on
-// the auto-dispatched (fixed-kernel) path.
-void BM_PowModGenericKernel(benchmark::State& state) {
-  DeterministicRng rng(12);  // same operands as the PowMod triple
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt base = rng.uniform_below(m);
-  const BigInt exp = rng.random_bits_exact(bits);
-  const MontgomeryContext ctx(m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.pow(base, exp));
-  }
-}
-BENCHMARK(BM_PowModGenericKernel)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MontMulMod)->Arg(64)->Arg(128)->Arg(160)->Arg(256)->Arg(1024)
+    ->Arg(2048);
 
 void BM_PrimeGeneration(benchmark::State& state) {
   DeterministicRng rng(4);
@@ -301,6 +259,57 @@ void BM_DgkCompareShared(benchmark::State& state) {
 BENCHMARK(BM_DgkCompareShared)->Arg(16)->Arg(32)->Arg(52)
     ->Unit(benchmark::kMillisecond);
 
+/// Console reporter that also keeps every repetition's wall time per
+/// iteration, so the pc-bench-v1 record carries median, quartiles and
+/// spread rather than one shot.
+class RepetitionCollector : public benchmark::ConsoleReporter {
+ public:
+  /// Colors only on a terminal, like google-benchmark's default reporter.
+  RepetitionCollector()
+      : ConsoleReporter(isatty(STDOUT_FILENO) != 0 ? OO_Defaults
+                                                   : OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& reports) override {
+    for (const Run& run : reports) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred ||
+          run.iterations == 0) {
+        continue;
+      }
+      samples_[run.run_name.function_name + "/" + run.run_name.args]
+          .push_back(run.real_accumulated_time * 1e9 /
+                     static_cast<double>(run.iterations));
+    }
+    ConsoleReporter::ReportRuns(reports);
+  }
+
+  /// "<bench>/<arg>.{median,q1,q3}_ns" and ".spread" ((q3 - q1) / median)
+  /// per benchmark, plus the largest repetition count seen.
+  void record(pclbench::BenchRecorder& recorder) const {
+    std::size_t repetitions = 0;
+    for (const auto& [name, raw] : samples_) {
+      std::vector<double> ns = raw;
+      std::sort(ns.begin(), ns.end());
+      const auto quantile = [&](double p) {
+        const double pos = p * static_cast<double>(ns.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, ns.size() - 1);
+        return ns[lo] + (ns[hi] - ns[lo]) * (pos - static_cast<double>(lo));
+      };
+      const double median = quantile(0.5);
+      recorder.set_param(name + ".median_ns", median);
+      recorder.set_param(name + ".q1_ns", quantile(0.25));
+      recorder.set_param(name + ".q3_ns", quantile(0.75));
+      recorder.set_param(name + ".spread",
+                         (quantile(0.75) - quantile(0.25)) / median);
+      repetitions = std::max(repetitions, ns.size());
+    }
+    recorder.set_param("repetitions", static_cast<double>(repetitions));
+  }
+
+ private:
+  std::map<std::string, std::vector<double>> samples_;
+};
+
 }  // namespace
 
 // Hand-rolled BENCHMARK_MAIN so the uniform bench flags (--json) are
@@ -316,8 +325,10 @@ int main(int argc, char** argv) {
                                              cli.passthrough_argv.data())) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  RepetitionCollector reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  reporter.record(recorder);
   if (!cli.json_path.empty()) recorder.write_json(cli.json_path);
   return 0;
 }

@@ -504,9 +504,9 @@ BigInt BigInt::pow_mod(const BigInt& base, const BigInt& exp, const BigInt& m) {
   }
   if (m == BigInt(1)) return BigInt(0);
   // Every odd modulus goes through the shared Montgomery kernel: the
-  // process-wide context cache amortizes the R^2 setup division, so there is
-  // no exponent size below which the plain ladder wins.  The kernel meters
-  // kBigIntModExp (and kBigIntModMul per REDC) itself.
+  // process-wide context cache amortizes the R^2 setup, so there is no
+  // exponent size below which the plain ladder wins.  The kernel meters
+  // kBigIntModExp (and kBigIntModMul per Montgomery multiply) itself.
   if (m.is_odd()) {
     return MontgomeryContext::shared(m)->pow(base, exp);
   }

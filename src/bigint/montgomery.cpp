@@ -1,13 +1,12 @@
 #include "bigint/montgomery.h"
 
-#include <algorithm>
 #include <list>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "bigint/kernels/limb_pool.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -24,67 +23,22 @@ std::size_t window_bits_for(std::size_t exp_bits) {
   return 6;
 }
 
-void count_mont_muls(std::uint64_t muls) {
+/// Counts `muls` Montgomery multiplies, then wraps the kernel's limbs.
+BigInt counted(std::vector<std::uint32_t> limbs, std::uint64_t muls) {
   obs::count(obs::Op::kBigIntModMul, muls);
   obs::count(obs::Op::kBigIntModMulFixed, muls);
-}
-
-/// In-place Montgomery reduction of the (2k+1)-limb buffer `t` by the
-/// k-limb modulus `m` (t may alias nothing; the caller owns sizing).
-void redc_in_place(std::uint32_t* t, const std::uint32_t* m, std::size_t k,
-                   std::uint32_t n_prime) {
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint32_t u = t[i] * n_prime;
-    // t += u * m << (32 * i)
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::uint64_t sum = static_cast<std::uint64_t>(t[i + j]) +
-                                static_cast<std::uint64_t>(u) * m[j] + carry;
-      t[i + j] = static_cast<std::uint32_t>(sum);
-      carry = sum >> 32;
-    }
-    std::size_t pos = i + k;
-    while (carry != 0) {
-      const std::uint64_t sum = static_cast<std::uint64_t>(t[pos]) + carry;
-      t[pos] = static_cast<std::uint32_t>(sum);
-      carry = sum >> 32;
-      ++pos;
-    }
-  }
+  return BigInt::from_limbs(std::move(limbs));
 }
 
 }  // namespace
 
-MontgomeryContext::MontgomeryContext(BigInt modulus, KernelPolicy policy)
+MontgomeryContext::MontgomeryContext(BigInt modulus)
     : modulus_(std::move(modulus)) {
   if (modulus_ <= BigInt(1) || modulus_.is_even()) {
     throw std::invalid_argument(
         "MontgomeryContext requires an odd modulus > 1");
   }
-  modulus_limbs_ = modulus_.to_limbs();
-  limb_count_ = modulus_limbs_.size();
-
-  // n' = -m^{-1} mod 2^32 via Newton iteration on the low limb (valid for
-  // odd m: each step doubles the number of correct low bits).
-  const std::uint32_t m0 = modulus_limbs_[0];
-  std::uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) {
-    inv *= 2u - m0 * inv;
-  }
-  n_prime_ = ~inv + 1u;  // -inv mod 2^32
-
-  BigInt r(1);
-  r <<= 32 * limb_count_;
-  r_mod_ = r.mod(modulus_);
-  r2_mod_ = (r_mod_ * r_mod_).mod(modulus_);
-
-  if (policy == KernelPolicy::kAuto) {
-    kernel_ = kern::make_fixed_mont_kernel(modulus_limbs_);
-  }
-}
-
-const char* MontgomeryContext::kernel_name() const {
-  return kernel_ != nullptr ? kernel_->name() : "generic";
+  kernel_ = kern::make_fixed_mont_kernel(modulus_.limb_span());
 }
 
 std::shared_ptr<const MontgomeryContext> MontgomeryContext::shared(
@@ -115,39 +69,6 @@ std::shared_ptr<const MontgomeryContext> MontgomeryContext::shared(
   return context;
 }
 
-BigInt MontgomeryContext::redc(std::vector<std::uint32_t> t) const {
-  obs::count(obs::Op::kBigIntModMul);
-  const std::size_t k = limb_count_;
-  const std::size_t width = 2 * k + 1;
-  const std::size_t cell_words = (width + 1) / 2;  // u32 limbs -> u64 words
-  BigInt result;
-  if (cell_words <= kern::kCellWords) {
-    // The working buffer comes from the per-thread LimbPool (same pool the
-    // fixed-width kernels use), viewed as u32 limbs: after warmup the
-    // generic tier performs no heap allocation of its own per reduction —
-    // the incoming product vector is reused for the k+1-limb result, whose
-    // low k limbs it already holds (divide by R = drop them).
-    kern::CellLease lease;
-    std::uint32_t* buf = reinterpret_cast<std::uint32_t*>(
-        lease.carve(cell_words));
-    const std::size_t have = std::min(t.size(), width);
-    std::copy_n(t.data(), have, buf);
-    std::fill(buf + have, buf + width, 0u);
-    redc_in_place(buf, modulus_limbs_.data(), k, n_prime_);
-    t.assign(buf + k, buf + width);
-    result = BigInt::from_limbs(std::move(t));
-  } else {
-    // Moduli too wide for one pool cell (beyond any protocol width): fall
-    // back to growing the vector in place.
-    t.resize(width, 0);
-    redc_in_place(t.data(), modulus_limbs_.data(), k, n_prime_);
-    t.erase(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
-    result = BigInt::from_limbs(std::move(t));
-  }
-  if (result >= modulus_) result -= modulus_;
-  return result;
-}
-
 const BigInt& MontgomeryContext::reduced(const BigInt& v,
                                          BigInt& storage) const {
   if (v.is_negative() || v >= modulus_) {
@@ -158,57 +79,34 @@ const BigInt& MontgomeryContext::reduced(const BigInt& v,
 }
 
 BigInt MontgomeryContext::to_mont(const BigInt& x) const {
-  if (kernel_ != nullptr) {
-    std::uint64_t muls = 0;
-    BigInt scratch;
-    std::vector<std::uint32_t> out =
-        kernel_->to_mont(reduced(x, scratch).limb_span(), &muls);
-    count_mont_muls(muls);
-    return BigInt::from_limbs(std::move(out));
-  }
-  return mul(x.mod(modulus_), r2_mod_);
+  std::uint64_t muls = 0;
+  BigInt scratch;
+  auto out = kernel_->to_mont(reduced(x, scratch).limb_span(), &muls);
+  return counted(std::move(out), muls);
 }
 
 BigInt MontgomeryContext::from_mont(const BigInt& x_mont) const {
-  if (kernel_ != nullptr) {
-    std::uint64_t muls = 0;
-    BigInt scratch;
-    std::vector<std::uint32_t> out =
-        kernel_->from_mont(reduced(x_mont, scratch).limb_span(), &muls);
-    count_mont_muls(muls);
-    return BigInt::from_limbs(std::move(out));
-  }
-  return redc(x_mont.to_limbs());
+  std::uint64_t muls = 0;
+  BigInt scratch;
+  auto out = kernel_->from_mont(reduced(x_mont, scratch).limb_span(), &muls);
+  return counted(std::move(out), muls);
 }
 
 BigInt MontgomeryContext::mul(const BigInt& a_mont,
                               const BigInt& b_mont) const {
-  if (kernel_ != nullptr) {
-    std::uint64_t muls = 0;
-    BigInt a_scratch, b_scratch;
-    std::vector<std::uint32_t> out =
-        kernel_->mont_mul(reduced(a_mont, a_scratch).limb_span(),
-                          reduced(b_mont, b_scratch).limb_span(), &muls);
-    count_mont_muls(muls);
-    return BigInt::from_limbs(std::move(out));
-  }
-  return redc((a_mont * b_mont).to_limbs());
+  std::uint64_t muls = 0;
+  BigInt a_scratch, b_scratch;
+  auto out = kernel_->mont_mul(reduced(a_mont, a_scratch).limb_span(),
+                               reduced(b_mont, b_scratch).limb_span(), &muls);
+  return counted(std::move(out), muls);
 }
 
 BigInt MontgomeryContext::mul_mod(const BigInt& a, const BigInt& b) const {
-  if (kernel_ != nullptr) {
-    std::uint64_t muls = 0;
-    BigInt a_scratch, b_scratch;
-    std::vector<std::uint32_t> out =
-        kernel_->mul_mod(reduced(a, a_scratch).limb_span(),
-                         reduced(b, b_scratch).limb_span(), &muls);
-    count_mont_muls(muls);
-    return BigInt::from_limbs(std::move(out));
-  }
-  // Same two-multiply schedule as the fixed tier: aR = to_mont(a), then
-  // REDC(aR * b) = a * b mod m.
-  BigInt b_scratch;
-  return mul(to_mont(a), reduced(b, b_scratch));
+  std::uint64_t muls = 0;
+  BigInt a_scratch, b_scratch;
+  auto out = kernel_->mul_mod(reduced(a, a_scratch).limb_span(),
+                              reduced(b, b_scratch).limb_span(), &muls);
+  return counted(std::move(out), muls);
 }
 
 BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exp) const {
@@ -216,51 +114,13 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exp) const {
     throw std::invalid_argument("MontgomeryContext::pow: negative exponent");
   }
   obs::count(obs::Op::kBigIntModExp);
-  if (kernel_ != nullptr) {
-    obs::count(obs::Op::kBigIntModExpFixed);
-    const std::size_t bits = exp.bit_length();
-    std::uint64_t muls = 0;
-    BigInt scratch;
-    std::vector<std::uint32_t> out = kernel_->pow(
-        reduced(base, scratch).limb_span(), exp.limb_span(), bits,
-        bits == 0 ? 1 : window_bits_for(bits), &muls);
-    count_mont_muls(muls);
-    return BigInt::from_limbs(std::move(out));
-  }
-  return pow_generic(base, exp);
-}
-
-BigInt MontgomeryContext::pow_generic(const BigInt& base,
-                                      const BigInt& exp) const {
+  obs::count(obs::Op::kBigIntModExpFixed);
   const std::size_t bits = exp.bit_length();
-  if (bits == 0) return from_mont(r_mod_);  // base^0 = 1 mod m
-
-  const std::size_t w = window_bits_for(bits);
-  // table[v] = base^v in Montgomery form, v in [0, 2^w).
-  std::vector<BigInt> table(static_cast<std::size_t>(1) << w);
-  table[0] = r_mod_;
-  table[1] = to_mont(base);
-  for (std::size_t v = 2; v < table.size(); ++v) {
-    table[v] = mul(table[v - 1], table[1]);
-  }
-
-  const std::size_t windows = (bits + w - 1) / w;
-  const auto window_value = [&](std::size_t wi) {
-    std::size_t v = 0;
-    for (std::size_t j = w; j-- > 0;) {
-      const std::size_t bit = wi * w + j;
-      v = (v << 1) | (bit < bits && exp.bit(bit) ? 1u : 0u);
-    }
-    return v;
-  };
-
-  BigInt result = table[window_value(windows - 1)];
-  for (std::size_t wi = windows - 1; wi-- > 0;) {
-    for (std::size_t j = 0; j < w; ++j) result = mul(result, result);
-    const std::size_t v = window_value(wi);
-    if (v != 0) result = mul(result, table[v]);
-  }
-  return from_mont(result);
+  std::uint64_t muls = 0;
+  BigInt scratch;
+  auto out = kernel_->pow(reduced(base, scratch).limb_span(), exp.limb_span(),
+                          bits, bits == 0 ? 1 : window_bits_for(bits), &muls);
+  return counted(std::move(out), muls);
 }
 
 }  // namespace pcl

@@ -1,4 +1,4 @@
-// Montgomery modular arithmetic, tiered over fixed-limb kernels.
+// Montgomery modular arithmetic over the CIOS kernel.
 //
 // Modular exponentiation dominates the protocol's CPU cost (every DGK bit
 // encryption, zero-test and Paillier operation is a pow_mod).  A
@@ -6,26 +6,28 @@
 // and performs multiplication with cheap word-wise reductions instead of a
 // full Knuth division per product.
 //
-// Two kernel tiers sit behind one context (DESIGN.md §12):
-//  - fixed-limb: when the modulus occupies exactly 8/16/32/64/128 32-bit
-//    limbs (256…4096 bits — the DGK n/p and Paillier n²/p²/q² widths), a
-//    compile-time-width CIOS kernel (src/bigint/kernels/) runs the fused
-//    multiply+reduce on 64-bit words with pooled temporaries; results and
-//    per-op Montgomery-multiply counts are bit-identical to the generic
-//    tier (same radix R, same window schedule).
-//  - generic: variable-length 32-bit limb REDC for every other width.
+// One kernel tier serves every odd modulus (DESIGN.md §12): a 64-bit-word
+// CIOS kernel (src/bigint/kernels/) of W words, W the smallest compiled
+// width holding the modulus (1…8, 16, 32, 64 words; a run-time W beyond
+// 4096 bits).  The Montgomery radix is R = 2^(64·W), so Montgomery-form
+// values (to_mont, mul operands) depend on W; ordinary-form results
+// (mul_mod, pow, from_mont) do not.
 //
 // Exponentiation uses fixed-window (2^w) evaluation, and
 // `MontgomeryContext::shared` memoizes contexts in a process-wide LRU
 // cache keyed by modulus: the protocol hits the same four moduli (n, n²,
 // DGK n, p) millions of times, so the per-modulus setup is paid once.
 // BigInt::pow_mod routes every odd-modulus call through this
-// automatically; bench_micro_crypto quantifies the tiers.
+// automatically; bench_micro_crypto times it at the protocol widths.
+//
+// Every Montgomery multiply counts obs::Op::kBigIntModMul and every
+// exponentiation kBigIntModExp.  The kBigIntModMulFixed/kBigIntModExpFixed
+// variants are counted alongside on every op: they date from a two-tier
+// design, and the benchmark's fixed_kernel_share still reads them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/kernels/fixed_mont.h"
@@ -34,14 +36,8 @@ namespace pcl {
 
 class MontgomeryContext {
  public:
-  /// Kernel-tier selection at construction.  kGenericOnly exists for the
-  /// bench ablations and the kernel cross-check tests; production call
-  /// sites use the default.
-  enum class KernelPolicy { kAuto, kGenericOnly };
-
   /// Requires an odd modulus > 1; throws std::invalid_argument otherwise.
-  explicit MontgomeryContext(BigInt modulus,
-                             KernelPolicy policy = KernelPolicy::kAuto);
+  explicit MontgomeryContext(BigInt modulus);
 
   /// Process-wide memoized context for `modulus` (mutex-guarded; safe to
   /// call from concurrent lane workers).  Returns the same context for
@@ -60,16 +56,10 @@ class MontgomeryContext {
 
   [[nodiscard]] const BigInt& modulus() const { return modulus_; }
 
-  /// True when this context dispatches to a fixed-limb CIOS kernel.
-  [[nodiscard]] bool has_fixed_kernel() const { return kernel_ != nullptr; }
-  /// "generic", or the kernel identifier ("cios-32" = 32 words = 2048-bit).
-  [[nodiscard]] const char* kernel_name() const;
-  /// The fixed-limb kernel, or null (raw access for benches).
-  [[nodiscard]] const kern::FixedMontKernel* fixed_kernel() const {
-    return kernel_.get();
-  }
+  /// Kernel width W in 64-bit words; R = 2^(64·W).
+  [[nodiscard]] std::size_t kernel_words() const { return kernel_->words(); }
 
-  /// Montgomery form: x * R mod m, with R = 2^(32 * limbs(m)).
+  /// Montgomery form: x * R mod m.
   [[nodiscard]] BigInt to_mont(const BigInt& x) const;
   [[nodiscard]] BigInt from_mont(const BigInt& x_mont) const;
 
@@ -92,21 +82,12 @@ class MontgomeryContext {
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exp) const;
 
  private:
-  /// REDC on a raw double-width magnitude (little-endian 32-bit limbs);
-  /// generic tier only.
-  [[nodiscard]] BigInt redc(std::vector<std::uint32_t> t) const;
-  [[nodiscard]] BigInt pow_generic(const BigInt& base, const BigInt& exp) const;
   /// Reference to `v` reduced into [0, m), materializing a copy in
   /// `storage` only when reduction is needed.
   [[nodiscard]] const BigInt& reduced(const BigInt& v, BigInt& storage) const;
 
   BigInt modulus_;
-  std::vector<std::uint32_t> modulus_limbs_;  // cached for redc
-  std::size_t limb_count_ = 0;
-  std::uint32_t n_prime_ = 0;  // -m^{-1} mod 2^32
-  BigInt r_mod_;               // R mod m      (Montgomery form of 1)
-  BigInt r2_mod_;              // R^2 mod m    (for to_mont)
-  std::unique_ptr<const kern::FixedMontKernel> kernel_;  // null => generic
+  std::unique_ptr<const kern::FixedMontKernel> kernel_;
 };
 
 }  // namespace pcl

@@ -1,5 +1,6 @@
 #include "net/session/session_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/errors.h"
@@ -81,15 +82,18 @@ void SessionManager::admit(const SessionInfo& info) {
                         std::to_string(config_.max_sessions) +
                         " concurrent sessions reached");
     }
-    if (records_.count(info.id) != 0) {
+    const auto same_id = [&](const SessionRecord& r) {
+      return r.info.id == info.id;
+    };
+    if (active_.count(info.id) != 0 ||
+        std::any_of(closed_.begin(), closed_.end(), same_id)) {
       throw ChannelError("session " + std::to_string(info.id) +
                          ": duplicate SESSION_OPEN");
     }
-    SessionRecord record;
-    record.info = info;
-    record.opened_ns = obs::monotonic_time_ns();
-    records_.emplace(info.id, std::move(record));
-    active_.emplace(info.id, Active{});
+    Active active;
+    active.record.info = info;
+    active.record.opened_ns = obs::monotonic_time_ns();
+    active_.emplace(info.id, std::move(active));
   }
   // Registration is visible before SESSION_ACCEPT goes out, so no frame the
   // client sends after the accept can ever land as an orphan here.
@@ -175,13 +179,14 @@ void SessionManager::finish(std::uint32_t id, SessionState state,
       loop_->cancel_timer(it->second.watchdog_id);
     }
     obs = std::move(it->second.obs);
+    record = std::move(it->second.record);
     active_.erase(it);
-    SessionRecord& stored = records_.at(id);
-    stored.state = state;
-    stored.status = status;
-    stored.label = label;
-    stored.closed_ns = obs::monotonic_time_ns();
-    record = stored;
+    record.state = state;
+    record.status = status;
+    record.label = label;
+    record.closed_ns = obs::monotonic_time_ns();
+    closed_.push_back(record);
+    if (closed_.size() > kClosedRecordsKept) closed_.pop_front();
     // Fold this session into the daemon-wide aggregate the admin channel
     // reports: a completion latency sample plus an outcome counter.
     aggregate_
@@ -199,9 +204,13 @@ void SessionManager::finish(std::uint32_t id, SessionState state,
 
 std::vector<SessionRecord> SessionManager::list() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SessionRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, record] : records_) out.push_back(record);
+  std::vector<SessionRecord> out(closed_.begin(), closed_.end());
+  out.reserve(closed_.size() + active_.size());
+  for (const auto& [id, act] : active_) out.push_back(act.record);
+  std::sort(out.begin(), out.end(),
+            [](const SessionRecord& a, const SessionRecord& b) {
+              return a.info.id < b.info.id;
+            });
   return out;
 }
 

@@ -127,7 +127,8 @@ class SessionManager {
   ~SessionManager();
 
   /// Admission check + mux registration.  Throws ChannelBusy at the cap or
-  /// once draining, ChannelError on a duplicate id.
+  /// once draining, ChannelError on an id still held (running, or among
+  /// the kept closed records).
   void admit(const SessionInfo& info);
   /// Schedules the admitted session's program on the pool.  Teardown —
   /// unregister, watchdog cancel, record finalization, close sink — runs on
@@ -135,7 +136,12 @@ class SessionManager {
   void launch(const SessionInfo& info, SessionRoutes routes, Program program,
               CloseSink on_close);
 
-  /// Every record, running and closed, in session-id order (admin "sessions").
+  /// Closed records kept for list(): the most recent ones, so a long-lived
+  /// daemon's memory does not grow with the number of sessions served.
+  static constexpr std::size_t kClosedRecordsKept = 256;
+
+  /// Every running record plus the kClosedRecordsKept most recently closed
+  /// ones, in session-id order (admin "sessions").
   [[nodiscard]] std::vector<SessionRecord> list() const;
   [[nodiscard]] std::size_t active() const;
 
@@ -157,6 +163,7 @@ class SessionManager {
 
  private:
   struct Active {
+    SessionRecord record;
     SessionRoutes routes;
     std::unique_ptr<SessionObs> obs;
     std::uint64_t watchdog_id = 0;
@@ -171,8 +178,8 @@ class SessionManager {
   WorkerPool pool_;
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
-  std::map<std::uint32_t, SessionRecord> records_;
   std::map<std::uint32_t, Active> active_;
+  std::deque<SessionRecord> closed_;  // oldest first, bounded
   obs::MetricsRegistry aggregate_;
   bool draining_ = false;
 };

@@ -24,6 +24,12 @@ namespace pcl {
 /// Aggregated traffic and timing per protocol step.  Internally locked:
 /// writers on the threaded transport race each other and readers (a bench
 /// polling totals, a reporting thread), so every accessor takes the mutex.
+///
+/// Rows are flat and name steps and parties by process-wide interned ids.
+/// Steps and party ids come from a small fixed vocabulary (the paper's step
+/// labels and the party ids), so the intern table stays bounded while each
+/// instance — one per served session on a daemon and on the client — stays
+/// a few hundred bytes.
 class TrafficStats {
  public:
   struct LinkTotals {
@@ -67,13 +73,25 @@ class TrafficStats {
   void clear();
 
  private:
-  struct Key {
-    std::string step, from, to;
-    auto operator<=>(const Key&) const = default;
+  using NameId = std::uint32_t;
+  struct Row {
+    NameId step, from, to;
+    LinkTotals totals;
   };
+  struct TimeRow {
+    NameId step;
+    std::chrono::nanoseconds elapsed;
+  };
+  /// Sums every row whose names match; `pick` selects the counted field.
+  template <typename Pick>
+  [[nodiscard]] std::size_t sum_for(const std::string& step,
+                                    const std::string& from_category,
+                                    const std::string& to_category,
+                                    Pick pick) const;
+
   mutable std::mutex mutex_;
-  std::map<Key, LinkTotals> traffic_;
-  std::map<std::string, std::chrono::nanoseconds> time_;
+  std::vector<Row> traffic_;  // sorted by (step, from, to) id
+  std::vector<TimeRow> time_;
 };
 
 /// Optional full transcript: one entry per message in send order.  Used by

@@ -1,7 +1,7 @@
-// Fixed-limb kernel tier (src/bigint/kernels/): cross-checks every CIOS
-// width against the generic variable-length tier, exercises the REDC
-// final-subtraction carries at exact limb boundaries, and pins the pool
-// and op-count contracts that DESIGN.md §12 documents.
+// CIOS Montgomery kernel (src/bigint/kernels/): width dispatch and padding,
+// every instantiated width against the naive BigInt reference, the REDC
+// final-subtraction carries at the edge of each width, and the op-count
+// contract that DESIGN.md §12 documents.
 #include "bigint/kernels/fixed_mont.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <array>
 #include <vector>
 
-#include "bigint/kernels/limb_pool.h"
 #include "bigint/montgomery.h"
 #include "bigint/rng.h"
 #include "obs/trace.h"
@@ -17,12 +16,16 @@
 namespace pcl {
 namespace {
 
-using kern::FixedMontKernel;
-using kern::LimbPool;
 using kern::make_fixed_mont_kernel;
 
-// The supported fixed widths, in bits: 8/16/32/64/128 32-bit limbs.
-constexpr std::size_t kFixedBits[] = {256, 512, 1024, 2048, 4096};
+// Moduli of exactly 64·W bits for every compile-time W (1…8, 16, 32, 64),
+// the padded widths (96 and 160 bits fill part of their top word, 1056
+// bits pads 17 words up to 32), and one width past 4096 bits (the
+// run-time-W instantiation).
+constexpr std::size_t kPaddedBits[] = {96, 160, 1056};
+constexpr std::size_t kTestedBits[] = {64,  128,  192,  256, 320, 384,
+                                       448, 512,  1024, 2048, 4096, 96,
+                                       160, 1056, 4160};
 
 BigInt odd_modulus_exact(std::size_t bits, Rng& rng) {
   BigInt m = rng.random_bits_exact(bits);
@@ -30,60 +33,65 @@ BigInt odd_modulus_exact(std::size_t bits, Rng& rng) {
   return m;
 }
 
-TEST(FixedMontKernel, FactorySelectsExactWidthsOnly) {
-  DeterministicRng rng(11);
-  for (const std::size_t bits : kFixedBits) {
-    const BigInt m = odd_modulus_exact(bits, rng);
-    const auto kernel = make_fixed_mont_kernel(m.to_limbs());
-    ASSERT_NE(kernel, nullptr) << bits << "-bit modulus";
-    EXPECT_EQ(kernel->words() * 64, bits);
+/// base^exp mod m by plain square-and-multiply on BigInt (no Montgomery).
+BigInt ladder_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt acc(1);
+  BigInt b = base.mod(m);
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) acc = (acc * b).mod(m);
+    b = (b * b).mod(m);
   }
-  // Off-width (not a supported limb count), even, tiny, and empty all fall
-  // back to the generic tier.
-  const BigInt odd_1056 = odd_modulus_exact(1056, rng);
-  EXPECT_EQ(make_fixed_mont_kernel(odd_1056.to_limbs()), nullptr);
-  BigInt even_1024 = odd_modulus_exact(1024, rng) + BigInt(1);
-  EXPECT_EQ(make_fixed_mont_kernel(even_1024.to_limbs()), nullptr);
-  EXPECT_EQ(make_fixed_mont_kernel(BigInt(12345).to_limbs()), nullptr);
-  EXPECT_EQ(make_fixed_mont_kernel(std::vector<std::uint32_t>{}), nullptr);
+  return acc.mod(m);
 }
 
 TEST(FixedMontKernel, ContextDispatchAndPolicy) {
+  // Kernel width = ceil(limbs / 2) words, padded up to the next compiled
+  // width (1…8, 16, 32, 64); wider moduli keep their exact word count.
   DeterministicRng rng(12);
-  const BigInt m = odd_modulus_exact(1024, rng);
-  const MontgomeryContext auto_ctx(m);
-  EXPECT_TRUE(auto_ctx.has_fixed_kernel());
-  EXPECT_STREQ(auto_ctx.kernel_name(), "cios-16");
-  const MontgomeryContext generic_ctx(
-      m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  EXPECT_FALSE(generic_ctx.has_fixed_kernel());
-  EXPECT_STREQ(generic_ctx.kernel_name(), "generic");
-  // An odd width never gets a kernel regardless of policy.
-  const MontgomeryContext odd_width(odd_modulus_exact(160, rng));
-  EXPECT_FALSE(odd_width.has_fixed_kernel());
+  const std::pair<std::size_t, std::size_t> kBitsToWords[] = {
+      {2, 1},     {64, 1},    {65, 2},    {96, 2},    {128, 2},
+      {160, 3},   {192, 3},   {256, 4},   {512, 8},   {513, 16},
+      {1024, 16}, {1056, 32}, {2048, 32}, {2049, 64}, {4096, 64},
+      {4097, 65}, {4160, 65}};
+  for (const auto& [bits, words] : kBitsToWords) {
+    const BigInt m = bits == 2 ? BigInt(3) : odd_modulus_exact(bits, rng);
+    EXPECT_EQ(MontgomeryContext(m).kernel_words(), words) << bits;
+    EXPECT_EQ(make_fixed_mont_kernel(m.limb_span())->words(), words) << bits;
+  }
+  // Montgomery needs gcd(m, R) = 1: even and empty moduli are refused.
+  const BigInt even_1024 = odd_modulus_exact(1024, rng) + BigInt(1);
+  EXPECT_THROW((void)make_fixed_mont_kernel(even_1024.limb_span()),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_fixed_mont_kernel(std::vector<std::uint32_t>{}),
+               std::invalid_argument);
 }
 
-TEST(FixedMontKernel, EveryWidthMatchesGenericTier) {
-  // The hard invariant: for every fixed width, mul / mul_mod / pow through
-  // the kernel are bit-identical to the generic 32-bit-limb tier (same
-  // Montgomery radix R, same window schedule).
+TEST(FixedMontKernel, EveryWidthMatchesNaiveReference) {
+  // Every instantiated width, padded widths and the run-time width against
+  // plain BigInt arithmetic: (a*b) mod m, a square-and-multiply ladder, and
+  // the radix rule to_mont(x) = x·2^(64·W) mod m.  Exponents run from 1 to
+  // 470 bits (window widths 1 to 5), and one 800-bit exponent per width
+  // takes the 6-bit window.
   DeterministicRng rng(13);
-  for (const std::size_t bits : kFixedBits) {
+  for (const std::size_t bits : kTestedBits) {
     const BigInt m = odd_modulus_exact(bits, rng);
-    const MontgomeryContext fixed(m);
-    const MontgomeryContext generic(
-        m, MontgomeryContext::KernelPolicy::kGenericOnly);
-    ASSERT_TRUE(fixed.has_fixed_kernel()) << bits;
+    const MontgomeryContext ctx(m);
+    const BigInt r = (BigInt(1) << (64 * ctx.kernel_words())).mod(m);
+    const BigInt base = rng.uniform_below(m);
+    const BigInt wide_exp = rng.random_bits_exact(800);
+    EXPECT_EQ(ctx.pow(base, wide_exp), ladder_pow(base, wide_exp, m)) << bits;
     for (int trial = 0; trial < 8; ++trial) {
       const BigInt a = rng.uniform_below(m);
       const BigInt b = rng.uniform_below(m);
       const BigInt e = rng.random_bits(1 + (trial * 67) % 512);
-      EXPECT_EQ(fixed.to_mont(a), generic.to_mont(a)) << bits;
-      EXPECT_EQ(fixed.mul(fixed.to_mont(a), fixed.to_mont(b)),
-                generic.mul(generic.to_mont(a), generic.to_mont(b)))
+      EXPECT_EQ(ctx.mul_mod(a, b), (a * b).mod(m)) << bits;
+      EXPECT_EQ(ctx.pow(a, e), ladder_pow(a, e, m)) << bits;
+      const BigInt a_mont = ctx.to_mont(a);
+      EXPECT_EQ(a_mont, (a * r).mod(m)) << bits;
+      EXPECT_EQ(ctx.from_mont(a_mont), a) << bits;
+      EXPECT_EQ(ctx.from_mont(ctx.mul(a_mont, ctx.to_mont(b))),
+                (a * b).mod(m))
           << bits;
-      EXPECT_EQ(fixed.mul_mod(a, b), (a * b).mod(m)) << bits;
-      EXPECT_EQ(fixed.pow(a, e), generic.pow(a, e)) << bits;
     }
   }
 }
@@ -91,22 +99,26 @@ TEST(FixedMontKernel, EveryWidthMatchesGenericTier) {
 TEST(FixedMontKernel, RedcFinalSubtractionAtLimbBoundary) {
   // Moduli chosen to force the REDC final conditional subtraction and the
   // t[W] overflow word: all-ones (2^bits - 1, the largest odd value at the
-  // width) and 2^bits - 3 keep intermediate sums at the carry edge.
+  // width) and 2^bits - 3 keep intermediate sums at the carry edge.  At
+  // padded widths the same moduli sit below zero top words.
   DeterministicRng rng(14);
-  for (const std::size_t bits : kFixedBits) {
+  std::vector<std::size_t> widths = {64, 192, 256, 512, 1024, 2048, 4096};
+  widths.insert(widths.end(), std::begin(kPaddedBits), std::end(kPaddedBits));
+  for (const std::size_t bits : widths) {
     for (const int delta : {1, 3}) {
       const BigInt m = (BigInt(1) << bits) - BigInt(delta);
       ASSERT_TRUE(m.is_odd());
       ASSERT_EQ(m.bit_length(), bits);
-      const MontgomeryContext fixed(m);
-      ASSERT_TRUE(fixed.has_fixed_kernel()) << bits << " -" << delta;
+      const MontgomeryContext ctx(m);
       // Operands at the top of the range maximize the unreduced product.
       const BigInt top = m - BigInt(1);
-      EXPECT_EQ(fixed.mul_mod(top, top), (top * top).mod(m));
+      EXPECT_EQ(ctx.mul_mod(top, top), (top * top).mod(m)) << bits;
+      const BigInt e = rng.random_bits(96);
+      EXPECT_EQ(ctx.pow(top, e), ladder_pow(top, e, m)) << bits;
       for (int trial = 0; trial < 4; ++trial) {
         const BigInt a = rng.uniform_below(m);
-        EXPECT_EQ(fixed.mul_mod(a, top), (a * top).mod(m));
-        EXPECT_EQ(fixed.from_mont(fixed.to_mont(a)), a);
+        EXPECT_EQ(ctx.mul_mod(a, top), (a * top).mod(m)) << bits;
+        EXPECT_EQ(ctx.from_mont(ctx.to_mont(a)), a) << bits;
       }
     }
   }
@@ -116,7 +128,6 @@ TEST(FixedMontKernel, UnreducedAndNegativeOperandsReduceFirst) {
   DeterministicRng rng(15);
   const BigInt m = odd_modulus_exact(256, rng);
   const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
   const BigInt big = m * BigInt(7) + rng.uniform_below(m);  // base >= modulus
   const BigInt b = rng.uniform_below(m);
   EXPECT_EQ(ctx.mul_mod(big, b), (big * b).mod(m));
@@ -129,7 +140,6 @@ TEST(FixedMontKernel, PowExponentEdgeCases) {
   DeterministicRng rng(16);
   const BigInt m = odd_modulus_exact(512, rng);
   const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
   const BigInt a = rng.uniform_below(m);
   EXPECT_EQ(ctx.pow(a, BigInt(0)), BigInt(1));
   EXPECT_EQ(ctx.pow(a, BigInt(1)), a);
@@ -143,104 +153,39 @@ TEST(FixedMontKernel, PowExponentEdgeCases) {
 }
 
 TEST(FixedMontKernel, OpCountsAreTierInvariant) {
-  // The fixed tier must mirror the generic multiply schedule exactly:
-  // identical kBigIntModMul totals per operation, with the _fixed variants
-  // counting only the kernel-path share.
+  // The multiply schedule is a function of the exponent alone, pinned here
+  // in closed form for a padded (160-bit), an exact (1024-bit) and the
+  // run-time (4160-bit) width: one to_mont, 2^w - 2 table products, w
+  // squarings per window after the first, one product per nonzero window,
+  // one from_mont.  Every op also counts in the _fixed variants.
   DeterministicRng rng(17);
-  const BigInt m = odd_modulus_exact(1024, rng);
-  const BigInt base = rng.uniform_below(m);
-  const BigInt exp = rng.random_bits(300);
-  const MontgomeryContext fixed(m);
-  const MontgomeryContext generic(
-      m, MontgomeryContext::KernelPolicy::kGenericOnly);
+  for (const std::size_t bits : {160u, 1024u, 4160u}) {
+    const BigInt m = odd_modulus_exact(bits, rng);
+    const BigInt base = rng.uniform_below(m);
+    const BigInt exp = rng.random_bits_exact(300);  // window width 5
+    const std::size_t w = 5;
+    const std::size_t windows = (300 + w - 1) / w;
+    std::uint64_t nonzero = 0;
+    for (std::size_t wi = 0; wi + 1 < windows; ++wi) {
+      std::size_t v = 0;
+      for (std::size_t j = 0; j < w; ++j) v |= exp.bit(wi * w + j) ? 1u : 0u;
+      nonzero += v != 0 ? 1 : 0;
+    }
+    const std::uint64_t pow_muls =
+        1 + ((1u << w) - 2) + (windows - 1) * w + nonzero + 1;
 
-  const auto count_ops = [&](const MontgomeryContext& ctx) {
+    const MontgomeryContext ctx(m);
     obs::MetricsRegistry reg;
-    const obs::ObserverScope scope(nullptr, &reg, "t");
-    (void)ctx.pow(base, exp);
-    (void)ctx.mul_mod(base, base);
-    return std::array<std::uint64_t, 4>{
-        reg.total(obs::Op::kBigIntModMul),
-        reg.total(obs::Op::kBigIntModExp),
-        reg.total(obs::Op::kBigIntModMulFixed),
-        reg.total(obs::Op::kBigIntModExpFixed)};
-  };
-  const auto f = count_ops(fixed);
-  const auto g = count_ops(generic);
-  EXPECT_EQ(f[0], g[0]);  // same modmul schedule
-  EXPECT_EQ(f[1], g[1]);  // one modexp each
-  EXPECT_EQ(f[2], f[0]);  // every multiply went through the kernel...
-  EXPECT_EQ(f[3], f[1]);
-  EXPECT_EQ(g[2], 0u);  // ...and none on the generic context
-  EXPECT_EQ(g[3], 0u);
-}
-
-TEST(LimbPool, ReusesCellsAndCountsAllocations) {
-  LimbPool& pool = LimbPool::local();
-  pool.reset_stats();
-  {
-    kern::CellLease warm;  // first lease on a cold list may allocate
-    (void)warm.data();
+    {
+      const obs::ObserverScope scope(nullptr, &reg, "t");
+      (void)ctx.pow(base, exp);
+      (void)ctx.mul_mod(base, base);
+    }
+    EXPECT_EQ(reg.total(obs::Op::kBigIntModMul), pow_muls + 2) << bits;
+    EXPECT_EQ(reg.total(obs::Op::kBigIntModExp), 1u) << bits;
+    EXPECT_EQ(reg.total(obs::Op::kBigIntModMulFixed), pow_muls + 2) << bits;
+    EXPECT_EQ(reg.total(obs::Op::kBigIntModExpFixed), 1u) << bits;
   }
-  pool.reset_stats();
-  for (int i = 0; i < 100; ++i) {
-    kern::CellLease lease;
-    lease.data()[0] = static_cast<std::uint64_t>(i);
-  }
-  const kern::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 100u);
-  EXPECT_EQ(stats.fresh_allocs, 0u);  // steady state: zero heap allocations
-  EXPECT_EQ(stats.reuses, 100u);
-  EXPECT_GE(stats.free_cells, 1u);
-}
-
-TEST(LimbPool, SteadyStateKernelOpsAreAllocationFree) {
-  // The pool-level proof of the "zero heap allocations per modmul" claim:
-  // after one warmup op, a burst of kernel operations never takes the
-  // fresh-alloc path.
-  DeterministicRng rng(18);
-  const BigInt m = odd_modulus_exact(2048, rng);
-  const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  (void)ctx.mul_mod(a, b);  // warm the free list
-  LimbPool::local().reset_stats();
-  BigInt acc = a;
-  for (int i = 0; i < 50; ++i) acc = ctx.mul_mod(acc, b);
-  const kern::PoolStats stats = LimbPool::local().stats();
-  EXPECT_GT(stats.acquires, 0u);
-  EXPECT_EQ(stats.fresh_allocs, 0u);
-  EXPECT_EQ(stats.reuses, stats.acquires);
-  // And the arithmetic stayed right.
-  BigInt expected = a;
-  for (int i = 0; i < 50; ++i) expected = (expected * b).mod(m);
-  EXPECT_EQ(acc, expected);
-}
-
-TEST(LimbPool, DisableForcesFreshAllocations) {
-  LimbPool& pool = LimbPool::local();
-  LimbPool::set_enabled(false);
-  pool.reset_stats();
-  {
-    kern::CellLease lease;
-    lease.data()[0] = 1;
-  }
-  const kern::PoolStats off = pool.stats();
-  EXPECT_FALSE(off.enabled);
-  EXPECT_EQ(off.fresh_allocs, 1u);  // ablation mode: every lease allocates
-  EXPECT_EQ(off.reuses, 0u);
-  LimbPool::set_enabled(true);
-  EXPECT_TRUE(pool.stats().enabled);
-}
-
-TEST(LimbPool, CellLeaseCarveBoundsChecked) {
-  kern::CellLease lease;
-  std::uint64_t* first = lease.carve(kern::kCellWords / 2);
-  std::uint64_t* second = lease.carve(kern::kCellWords / 2);
-  EXPECT_EQ(second - first,
-            static_cast<std::ptrdiff_t>(kern::kCellWords / 2));
-  EXPECT_THROW((void)lease.carve(1), std::logic_error);
 }
 
 TEST(SharedCacheLru, EvictsLeastRecentlyUsedOnly) {

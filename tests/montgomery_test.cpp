@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bigint/kernels/limb_pool.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -161,38 +160,6 @@ TEST(Montgomery, PowModIntegrationUsesIt) {
                 BigInt(expected));
     }
   }
-}
-
-TEST(Montgomery, GenericTierIsPoolBackedAfterWarmup) {
-  // The generic 32-bit tier's REDC scratch comes from the same per-thread
-  // LimbPool as the fixed-width kernels: after the first reduction warms
-  // the thread's free list, steady-state multiplies must be served
-  // entirely by cell reuse — zero fresh heap cells.  160 bits matches the
-  // DGK modulus the protocol runs the generic tier at.
-  DeterministicRng rng(11);
-  BigInt m = rng.random_bits_exact(160);
-  if (m.is_even()) m += BigInt(1);
-  const MontgomeryContext ctx(m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  ASSERT_STREQ(ctx.kernel_name(), "generic");
-
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  // Warmup: park at least one cell on this thread's free list.
-  (void)ctx.mul_mod(a, b);
-
-  kern::LimbPool& pool = kern::LimbPool::local();
-  pool.reset_stats();
-  BigInt acc = a;
-  for (int i = 0; i < 50; ++i) acc = ctx.mul_mod(acc, b);
-  const kern::PoolStats stats = pool.stats();
-  EXPECT_GT(stats.acquires, 0u);
-  EXPECT_EQ(stats.fresh_allocs, 0u) << "generic REDC hit the heap";
-  EXPECT_EQ(stats.reuses, stats.acquires);
-
-  // The pooled path still computes the right thing.
-  BigInt expected = a;
-  for (int i = 0; i < 50; ++i) expected = (expected * b).mod(m);
-  EXPECT_EQ(acc, expected);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 // in-process replays); these tests pin down the subsystem's contracts.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -343,6 +345,79 @@ TEST(SessionManager, DrainingRefusesNewSessions) {
   SessionManager manager(SessionManagerConfig{}, mux, nullptr);
   manager.begin_drain();
   EXPECT_THROW(manager.admit(SessionInfo{1, 1}), ChannelBusy);
+}
+
+TEST(SessionManager, ClosedRecordsAreBoundedAndRunningOnesListed) {
+  // Two sessions stay running while more than a ring's worth of quick
+  // sessions open and close: list() keeps every running record plus only
+  // the most recent closed ones, and an id still held is refused.
+  // Declared before the manager: its workers run the sinks until it dies.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::size_t closed = 0;
+  SessionMux mux;
+  SessionManagerConfig config;
+  config.max_sessions = 2 * SessionManager::kClosedRecordsKept;
+  config.workers = 3;
+  SessionManager manager(config, mux, nullptr);
+  const auto on_close = [&](const SessionRecord&, SessionObs&) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++closed;
+    }
+    cv.notify_all();
+  };
+  const auto blocking = [&](const SessionInfo&, Channel&) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+    return std::optional<int>();
+  };
+  const auto quick = [](const SessionInfo& info, Channel&) {
+    return std::optional<int>(static_cast<int>(info.id % 3));
+  };
+
+  for (const std::uint32_t id : {1u, 2u}) {
+    manager.admit(SessionInfo{id, id});
+    manager.launch(SessionInfo{id, id}, SessionRoutes{}, blocking, on_close);
+  }
+  const std::size_t quick_sessions = SessionManager::kClosedRecordsKept + 40;
+  for (std::size_t i = 0; i < quick_sessions; ++i) {
+    const SessionInfo info{static_cast<std::uint32_t>(100 + i), i};
+    manager.admit(info);
+    manager.launch(info, SessionRoutes{}, quick, on_close);
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return closed == quick_sessions; });
+  }
+
+  const std::vector<SessionRecord> records = manager.list();
+  ASSERT_EQ(records.size(), 2 + SessionManager::kClosedRecordsKept);
+  EXPECT_EQ(records[0].info.id, 1u);
+  EXPECT_EQ(records[0].state, SessionState::kRunning);
+  EXPECT_EQ(records[1].info.id, 2u);
+  EXPECT_EQ(records[1].state, SessionState::kRunning);
+  // The closed rows are the newest ones, still in id order.
+  const std::uint32_t first_kept =
+      static_cast<std::uint32_t>(100 + quick_sessions -
+                                 SessionManager::kClosedRecordsKept);
+  EXPECT_EQ(records[2].info.id, first_kept);
+  EXPECT_EQ(records.back().info.id, 100 + quick_sessions - 1);
+  for (std::size_t i = 2; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].state, SessionState::kDone);
+  }
+  EXPECT_THROW(manager.admit(SessionInfo{first_kept, 0}), ChannelError);
+  EXPECT_THROW(manager.admit(SessionInfo{1, 0}), ChannelError);
+  EXPECT_EQ(manager.active(), 2u);
+
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  manager.await_idle();
+  EXPECT_EQ(manager.list().size(), SessionManager::kClosedRecordsKept);
 }
 
 // ---------------------------------------------------------------------------
